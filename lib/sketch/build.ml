@@ -24,7 +24,11 @@ let run ?backend ?pool ?shards ?tracer ?obs ~family g ~k ~seed =
     }
   | Family.Landmark ->
     let r = Landmark.run ?backend ?pool ?shards ?tracer ?obs g ~k ~seed in
-    { sketch = r.Landmark.sketch; metrics = r.Landmark.metrics; mem_words = 0 }
+    {
+      sketch = r.Landmark.sketch;
+      metrics = r.Landmark.metrics;
+      mem_words = r.Landmark.mem_words;
+    }
   | Family.Bottomk ->
     let r = Bottomk.run ?backend ?pool ?shards ?tracer ?obs g ~k ~seed in
     {

@@ -13,9 +13,7 @@
 type result = {
   sketch : Sketch.t;
   metrics : Ds_congest.Metrics.t;
-  mem_words : int;
-      (** plane backbone footprint; 0 for [Landmark], whose
-          [Super_bf] primitive does not report it *)
+  mem_words : int;  (** plane backbone footprint at completion *)
 }
 
 val run :

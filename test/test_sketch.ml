@@ -219,9 +219,46 @@ let test_landmark_estimate_bounds () =
           end))
     (Helpers.graph_suite 525)
 
+(* Small random graphs, often disconnected (so some sets are
+   unreachable from some nodes) and often with n <= 5 (so set sizes
+   saturate at n and landmarks repeat across sets), against the
+   reference on both backends. *)
+let prop_landmark_matches_reference =
+  QCheck.Test.make ~name:"landmark = reference on small random graphs"
+    ~count:80
+    QCheck.(quad (int_range 1 9) (int_range 0 100000) (int_range 1 3)
+              (int_range 0 100000))
+    (fun (n, gseed, k, seed) ->
+      let rng = Rng.create gseed in
+      let p = float_of_int (gseed mod 7) /. 10.0 in
+      let edges = ref [] in
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          if Rng.float rng 1.0 < p then
+            edges := (u, v, 1 + Rng.int rng 5) :: !edges
+        done
+      done;
+      let g = Graph.of_edges ~n !edges in
+      let want = Landmark.reference g ~k ~seed in
+      let got backend =
+        let r =
+          Landmark.run ~backend ~shards:(1 + (seed mod 3)) g ~k ~seed
+        in
+        sketch_entries r.Landmark.sketch
+      in
+      got Plane.Congest = want && got Plane.Sharded = want)
+
 let test_landmark_cross_backend () =
   let g = Helpers.random_graph ~seed:526 110 in
   let ref_r = Landmark.run ~backend:Plane.Congest g ~k:2 ~seed:23 in
+  (* All k·r sets run as one pipelined wave: a single phase. *)
+  (match Metrics.phases ref_r.Landmark.metrics with
+  | [ { Metrics.name = "landmark"; rounds; _ } ] ->
+    Alcotest.(check int) "phase covers the run" rounds
+      (Metrics.rounds ref_r.Landmark.metrics)
+  | ps -> Alcotest.failf "expected one landmark phase, got %d" (List.length ps));
+  if ref_r.Landmark.mem_words <= 0 then
+    Alcotest.failf "mem_words %d, expected > 0" ref_r.Landmark.mem_words;
   List.iter
     (fun domains ->
       Pool.with_pool ~domains @@ fun pool ->
@@ -230,7 +267,9 @@ let test_landmark_cross_backend () =
       Alcotest.(check bool)
         (name ^ " sketch") true
         (Sketch.equal ref_r.Landmark.sketch r.Landmark.sketch);
-      check_metrics_equal name ref_r.Landmark.metrics r.Landmark.metrics)
+      check_metrics_equal name ref_r.Landmark.metrics r.Landmark.metrics;
+      if r.Landmark.mem_words <= 0 then
+        Alcotest.failf "%s mem_words %d, expected > 0" name r.Landmark.mem_words)
     domain_matrix
 
 (* --- the shared container --- *)
@@ -313,6 +352,7 @@ let suite =
       test_landmark_estimate_bounds;
     Alcotest.test_case "landmark congest = sharded across pools" `Quick
       test_landmark_cross_backend;
+    QCheck_alcotest.to_alcotest prop_landmark_matches_reference;
     Alcotest.test_case "tz estimate parity with Label.query" `Quick
       test_tz_estimate_parity;
     Alcotest.test_case "container validation and accessors" `Quick
