@@ -309,7 +309,7 @@ let build_cmd =
         in
         Store.save path store;
         Format.printf "snapshot: wrote %s (%d bytes)@." path
-          (String.length (Store.to_bytes store))
+          (Unix.stat path).Unix.st_size
     in
     (match (sketch_family, mode) with
     | Sketch_family.Tz, `Central ->
@@ -875,8 +875,7 @@ let oracle_cmd =
     | None -> ()
     | Some path ->
       Store.save path store;
-      Printf.eprintf "wrote %s (%d bytes)\n" path
-        (String.length (Store.to_bytes store)));
+      Printf.eprintf "wrote %s (%d bytes)\n" path (Unix.stat path).Unix.st_size);
     let meta = store.Store.meta in
     let oracle = Oracle.of_store store in
     if pairs < 1 then fail "--pairs must be >= 1";

@@ -44,88 +44,98 @@ let of_labels ?seed ?graph_family labels =
 
 let mapped_bytes t = Sketch.mapped_bytes t.sketch
 
-(* FNV-1a, 64-bit. *)
-let fnv1a64 s =
-  let prime = 0x100000001b3L in
+(* FNV-1a, 64-bit, over bytes [pos, pos + len) of [b]. An indexed
+   loop over a local ref, with no closure, so the compiler keeps the
+   accumulator unboxed: hashing allocates nothing per byte. Readers
+   pass [Bytes.unsafe_of_string] of a string they never mutate. *)
+let fnv1a64_sub b pos len =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
+  for i = pos to pos + len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i))))
+        0x100000001b3L
+  done;
   !h
+
+let fnv1a64 s = fnv1a64_sub (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let pad8 len = (8 - (len land 7)) land 7
 
-let add_padded_string b s =
-  Buffer.add_string b s;
-  Buffer.add_string b (String.make (pad8 (String.length s)) '\000')
+let padded len = len + pad8 len
 
-(* Canonical section order, shared by every version's writer:
-   offsets, interleaved (dist, node) pivot pairs, interleaved
-   (node, dist) entry pairs. Backing-independent — serialising a
-   mapped store streams the very words it was mapped from. *)
-let add_sections (s : Sketch.t) ~word = Sketch.iter_section_words s word
-
-(* Common header prefix: magic through the two padded family
-   strings. Returns the buffer positioned right after the graph
-   family, i.e. at the pivot-words field. *)
-let add_header_prefix b ~ver ~meta:{ n; k; seed; graph_family; sketch_family } =
-  let word i = Buffer.add_int64_le b (Int64.of_int i) in
-  Buffer.add_string b magic;
+(* The one writer, for every version. The file size is known up front
+   from the header fields and the section extents, so each word is
+   written once into one exact-size buffer and both checksums hash
+   it in place. Field order per version:
+   - all: magic, version, n, k, seed;
+   - v2+: the padded sketch-family string;
+   - all: the padded graph-family string (v1's lone family field was
+     the graph family);
+   - v2+: the pivot-words field; v3: the entry total and the header
+     checksum (so the mmap loader can validate everything it parses
+     eagerly in O(1) without touching the payload pages);
+   - all: the canonical sections ({!Sketch.iter_section_words} —
+     offsets, (dist, node) pivot pairs, (node, dist) entry pairs;
+     backing-independent, so serialising a mapped store streams the
+     very words it was mapped from), then the trailing checksum. *)
+let encode ~ver t =
+  let { n; k; seed; graph_family; sketch_family } = t.meta in
+  let sk = t.sketch in
+  let sf = Family.name sketch_family in
+  let pivot_words = 2 * Sketch.pivot_pairs sk
+  and total = Sketch.total_entries sk in
+  let header =
+    40
+    + (if ver > 1 then 8 + padded (String.length sf) else 0)
+    + 8
+    + padded (String.length graph_family)
+    + (match ver with 1 -> 0 | 2 -> 8 | _ -> 24)
+  in
+  let size = header + (8 * (n + 1 + pivot_words + (2 * total))) + 8 in
+  let b = Bytes.create size in
+  let pos = ref 0 in
+  let word i =
+    Bytes.set_int64_le b !pos (Int64.of_int i);
+    pos := !pos + 8
+  in
+  let padded_string s =
+    let len = String.length s in
+    word len;
+    Bytes.blit_string s 0 b !pos len;
+    Bytes.fill b (!pos + len) (pad8 len) '\000';
+    pos := !pos + padded len
+  in
+  let checksum () =
+    Bytes.set_int64_le b !pos (fnv1a64_sub b 0 !pos);
+    pos := !pos + 8
+  in
+  Bytes.blit_string magic 0 b 0 8;
+  pos := 8;
   word ver;
   word n;
   word k;
   word seed;
-  let sf = Family.name sketch_family in
-  word (String.length sf);
-  add_padded_string b sf;
-  word (String.length graph_family);
-  add_padded_string b graph_family
+  if ver > 1 then padded_string sf;
+  padded_string graph_family;
+  if ver > 1 then word pivot_words;
+  if ver > 2 then begin
+    word total;
+    checksum ()
+  end;
+  Sketch.iter_section_words sk word;
+  checksum ();
+  assert (!pos = size);
+  Bytes.unsafe_to_string b
 
-let to_bytes t =
-  let b = Buffer.create 4096 in
-  let word i = Buffer.add_int64_le b (Int64.of_int i) in
-  add_header_prefix b ~ver:version ~meta:t.meta;
-  word (2 * Sketch.pivot_pairs t.sketch);
-  word (Sketch.total_entries t.sketch);
-  (* v3: a checksum over the header alone, so the mmap loader can
-     validate everything it parses eagerly in O(1) without touching
-     the payload pages. *)
-  Buffer.add_int64_le b (fnv1a64 (Buffer.contents b));
-  add_sections t.sketch ~word;
-  let payload = Buffer.contents b in
-  Buffer.add_int64_le b (fnv1a64 payload);
-  Buffer.contents b
+let to_bytes t = encode ~ver:version t
 
-let to_bytes_v2 t =
-  let b = Buffer.create 4096 in
-  let word i = Buffer.add_int64_le b (Int64.of_int i) in
-  add_header_prefix b ~ver:2 ~meta:t.meta;
-  word (2 * Sketch.pivot_pairs t.sketch);
-  add_sections t.sketch ~word;
-  let payload = Buffer.contents b in
-  Buffer.add_int64_le b (fnv1a64 payload);
-  Buffer.contents b
+let to_bytes_v2 t = encode ~ver:2 t
 
 let to_bytes_v1 t =
-  let { n; k; seed; graph_family; sketch_family } = t.meta in
-  if sketch_family <> Family.Tz then
+  if t.meta.sketch_family <> Family.Tz then
     invalid_arg "Sketch_store.to_bytes_v1: only family tz has a v1 layout";
-  let b = Buffer.create 4096 in
-  let word i = Buffer.add_int64_le b (Int64.of_int i) in
-  Buffer.add_string b magic;
-  word 1;
-  word n;
-  word k;
-  word seed;
-  (* v1's lone family field was the graph family. *)
-  word (String.length graph_family);
-  add_padded_string b graph_family;
-  add_sections t.sketch ~word;
-  let payload = Buffer.contents b in
-  Buffer.add_int64_le b (fnv1a64 payload);
-  Buffer.contents b
+  encode ~ver:1 t
 
 (* Shared by the heap reader paths: the offset table, optional pivot
    section and entry section that follow the version-specific header,
@@ -156,7 +166,7 @@ let read_sections s ~len ~body ~n ~k ~pivot_words ?declared_total
     error "truncated or oversized snapshot: expected %d bytes, got %d" expected
       len;
   let stored = String.get_int64_le s (len - 8) in
-  let computed = fnv1a64 (String.sub s 0 (len - 8)) in
+  let computed = fnv1a64_sub (Bytes.unsafe_of_string s) 0 (len - 8) in
   if stored <> computed then
     error "checksum mismatch: stored %Lx, computed %Lx — corrupt snapshot"
       stored computed;
@@ -253,7 +263,9 @@ let parse_header s ~avail =
         let total = word (after_gf + 8) in
         if total < 0 then error "bad snapshot header: entry total %d" total;
         let stored = String.get_int64_le s (after_gf + 16) in
-        let computed = fnv1a64 (String.sub s 0 (after_gf + 16)) in
+        let computed =
+          fnv1a64_sub (Bytes.unsafe_of_string s) 0 (after_gf + 16)
+        in
         if stored <> computed then
           error
             "header checksum mismatch: stored %Lx, computed %Lx — corrupt \

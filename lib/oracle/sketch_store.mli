@@ -145,4 +145,5 @@ val load : ?mode:mode -> string -> t
 
 val fnv1a64 : string -> int64
 (** The checksum function (FNV-1a, 64-bit), exposed so tests can pin
-    the trailer and CI scripts can fingerprint payloads. *)
+    the trailer and CI scripts can fingerprint payloads. Allocates
+    nothing per byte. *)

@@ -9,20 +9,19 @@ module Rng = Ds_util.Rng
 
 let rank ~seed v = Rng.mix (Rng.mix seed lxor v)
 
-(* Per-node state: an open-addressed map from source id to (dist,
-   cached rank, queued), in parallel int arrays with linear probing,
-   plus an int-ring rebroadcast FIFO — the same machinery as
-   [Multi_bf.state] and for the same reason (the admission test runs
-   once per delivered message; [Hashtbl] would allocate on that
-   path). Entries are never deleted. *)
+(* Per-node state: the known sources in flat parallel int arrays kept
+   sorted ascending by [(rank, id)], plus an int-ring rebroadcast FIFO
+   of source ids (the same ring as [Multi_bf.state]). Rank order makes
+   a candidate's possible dominators exactly the entries before its
+   insertion point, so the admission test scans that prefix only and
+   stops at [k]. Entries are never deleted. [ranks] is the run's
+   shared read-only rank table, indexed by node id. *)
 type state = {
   k : int;
-  seed : int;
-  mutable keys : int array; (* source id, -1 = empty slot *)
+  ranks : int array;
+  mutable ids : int array; (* source ids, sorted by (rank, id) *)
   mutable dist : int array;
-  mutable rnk : int array; (* rank of [keys], cached *)
   mutable queued : int array; (* 1 iff the source sits in the FIFO *)
-  mutable mask : int; (* capacity - 1 *)
   mutable count : int;
   mutable pend : int array; (* ring of source ids, power-of-two cap *)
   mutable pend_head : int;
@@ -30,36 +29,31 @@ type state = {
   mutable max_pending : int;
 }
 
-(* Fibonacci-style mixing, as in [Multi_bf.probe]: source ids are the
-   full 0..n-1 range and degenerate under [id land mask]. *)
-let rec probe keys mask key i =
-  let k = keys.(i) in
-  if k = key || k < 0 then i else probe keys mask key ((i + 1) land mask)
-
-let slot st key =
-  probe st.keys st.mask key (((key * 0x9E3779B1) lsr 8) land st.mask)
+(* First index [j] in [0, count) whose entry is not lex-below
+   [src] in [(rank, id)] order — [src]'s slot if known, its insertion
+   point otherwise. *)
+let search st src =
+  let r = st.ranks.(src) in
+  let lo = ref 0 and hi = ref st.count in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let id = st.ids.(mid) in
+    let rm = st.ranks.(id) in
+    if rm < r || (rm = r && id < src) then lo := mid + 1
+    else hi := mid
+  done;
+  !lo
 
 let grow_tbl st =
-  let old_keys = st.keys
-  and old_dist = st.dist
-  and old_rnk = st.rnk
-  and old_queued = st.queued in
-  let cap = 2 * Array.length old_keys in
-  st.keys <- Array.make cap (-1);
-  st.dist <- Array.make cap 0;
-  st.rnk <- Array.make cap 0;
-  st.queued <- Array.make cap 0;
-  st.mask <- cap - 1;
-  Array.iteri
-    (fun i k ->
-      if k >= 0 then begin
-        let j = slot st k in
-        st.keys.(j) <- k;
-        st.dist.(j) <- old_dist.(i);
-        st.rnk.(j) <- old_rnk.(i);
-        st.queued.(j) <- old_queued.(i)
-      end)
-    old_keys
+  let cap = 2 * Array.length st.ids in
+  let extend a =
+    let b = Array.make cap 0 in
+    Array.blit a 0 b 0 st.count;
+    b
+  in
+  st.ids <- extend st.ids;
+  st.dist <- extend st.dist;
+  st.queued <- extend st.queued
 
 let grow_pend st =
   let old = st.pend in
@@ -81,36 +75,31 @@ let enqueue st src j =
     if st.pend_len > st.max_pending then st.max_pending <- st.pend_len
   end
 
-(* Admission: fewer than [k] known sources dominate the candidate,
-   where [j] dominates iff [dist.(j) <= nd] and [(rnk.(j), keys.(j))]
-   is lex-below [(r, src)]. A linear scan over the table — it holds
-   O(k log n) entries in expectation, and the scan stops at [k]. The
-   count is over set contents only (order-independent), which is what
-   keeps the protocol byte-deterministic across backends. *)
-let admits st src r nd =
-  let c = ref 0 in
-  let cap = Array.length st.keys in
-  let j = ref 0 in
-  while !c < st.k && !j < cap do
-    let key = st.keys.(!j) in
-    if
-      key >= 0
-      && st.dist.(!j) <= nd
-      && (st.rnk.(!j) < r || (st.rnk.(!j) = r && key < src))
-    then incr c;
-    incr j
+(* Admission of a new source with insertion point [j]: fewer than [k]
+   known sources dominate it, where a source dominates iff it is
+   lex-below in rank order (the prefix [0, j)) and known at distance
+   [<= nd]. The count is over set contents only (order-independent),
+   which is what keeps the protocol byte-deterministic across
+   backends. *)
+let admits st j nd =
+  let c = ref 0 and i = ref 0 in
+  while !c < st.k && !i < j do
+    if st.dist.(!i) <= nd then incr c;
+    incr i
   done;
   !c < st.k
 
-(* Cold path: first admitted announcement from [src]. Growing
-   rehashes, so the slot must be recomputed afterwards. *)
-let insert st src r nd =
-  if 2 * (st.count + 1) > Array.length st.keys then grow_tbl st;
+(* Cold path: first admitted announcement from [src], shifted into
+   rank order at [j]. *)
+let insert st src nd j =
+  if st.count = Array.length st.ids then grow_tbl st;
+  let tail = st.count - j in
+  Array.blit st.ids j st.ids (j + 1) tail;
+  Array.blit st.dist j st.dist (j + 1) tail;
+  Array.blit st.queued j st.queued (j + 1) tail;
   st.count <- st.count + 1;
-  let j = slot st src in
-  st.keys.(j) <- src;
+  st.ids.(j) <- src;
   st.dist.(j) <- nd;
-  st.rnk.(j) <- r;
   st.queued.(j) <- 0;
   enqueue st src j
 
@@ -119,29 +108,26 @@ let insert st src r nd =
    guarantees exact distances along shortest paths; see the .mli);
    an unknown one must pass [admits]. Nothing is ever evicted. *)
 let accept st src nd =
-  let j = slot st src in
-  if st.keys.(j) >= 0 then begin
+  let j = search st src in
+  if j < st.count && st.ids.(j) = src then begin
     if nd < st.dist.(j) then begin
       st.dist.(j) <- nd;
       enqueue st src j
     end
   end
-  else begin
-    let r = rank ~seed:st.seed src in
-    if admits st src r nd then insert st src r nd
-  end
+  else if admits st j nd then insert st src nd j
 
 let pop_and_broadcast api st =
   if st.pend_len > 0 then begin
     let src = st.pend.(st.pend_head) in
     st.pend_head <- (st.pend_head + 1) land (Array.length st.pend - 1);
     st.pend_len <- st.pend_len - 1;
-    let j = slot st src in
+    let j = search st src in
     st.queued.(j) <- 0;
     api.Engine.broadcast (src, st.dist.(j))
   end
 
-let protocol ~k ~seed : (state, int * int) Engine.protocol =
+let protocol ~k ~ranks : (state, int * int) Engine.protocol =
   let open Engine in
   {
     name = "bottomk";
@@ -153,12 +139,10 @@ let protocol ~k ~seed : (state, int * int) Engine.protocol =
         let st =
           {
             k;
-            seed;
-            keys = Array.make 16 (-1);
+            ranks;
+            ids = Array.make 16 0;
             dist = Array.make 16 0;
-            rnk = Array.make 16 0;
             queued = Array.make 16 0;
-            mask = 15;
             count = 0;
             pend = Array.make 8 0;
             pend_head = 0;
@@ -168,7 +152,7 @@ let protocol ~k ~seed : (state, int * int) Engine.protocol =
         in
         (* Every node is a source: it is trivially in its own bottom-k
            set (distance 0, empty table), so announce unconditionally. *)
-        insert st api.id (rank ~seed api.id) 0;
+        insert st api.id 0 0;
         st);
     on_round =
       (fun api st inbox ->
@@ -201,19 +185,14 @@ let select ~k sorted =
   Array.sort compare out;
   out
 
-(* A node's final sketch: rank-order the surviving table and filter.
+(* A node's final sketch: filter the table, already in rank order.
    The k lex-lowest-ranked nodes of any ball around [u] are themselves
    true ADS members and end the protocol present with exact distances,
    so entries admitted early on stale (longer) distances are exactly
    the ones the filter demotes — the result matches [reference]. *)
 let sketch_entries st =
-  let es = ref [] in
-  Array.iteri
-    (fun j key -> if key >= 0 then es := (st.rnk.(j), key, st.dist.(j)) :: !es)
-    st.keys;
-  let arr = Array.of_list !es in
-  Array.sort compare arr;
-  select ~k:st.k arr
+  select ~k:st.k
+    (Array.init st.count (fun j -> (st.ranks.(st.ids.(j)), st.ids.(j), st.dist.(j))))
 
 type result = {
   sketch : Sketch.t;
@@ -226,7 +205,7 @@ let run ?backend ?pool ?shards ?tracer ?obs g ~k ~seed =
   if k < 1 then invalid_arg "Bottomk.run: k < 1";
   let r =
     Plane.run ?backend ?pool ?shards ?tracer ?obs ~codec:Multi_bf.codec g
-      (protocol ~k ~seed)
+      (protocol ~k ~ranks:(Array.init (Graph.n g) (rank ~seed)))
   in
   (match r.Plane.stop with
   | Quiescent | All_halted -> ()
@@ -245,12 +224,13 @@ let run ?backend ?pool ?shards ?tracer ?obs g ~k ~seed =
 let reference g ~k ~seed =
   if k < 1 then invalid_arg "Bottomk.reference: k < 1";
   let n = Graph.n g in
+  let ranks = Array.init n (rank ~seed) in
   Array.init n (fun u ->
       let dist = Dijkstra.sssp g ~src:u in
       let es = ref [] in
       for v = n - 1 downto 0 do
         if Dist.is_finite dist.(v) then
-          es := (rank ~seed v, v, dist.(v)) :: !es
+          es := (ranks.(v), v, dist.(v)) :: !es
       done;
       let arr = Array.of_list !es in
       Array.sort compare arr;

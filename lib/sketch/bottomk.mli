@@ -13,6 +13,10 @@
     announcing itself, and a received [(source, dist)] candidate is
     stored and forwarded only if fewer than [k] already-known sources
     dominate it (known at distance [<= dist] with lex-lower rank).
+    Each node keeps its known sources sorted by [(rank, id)], so the
+    possible dominators are the prefix before the candidate's
+    insertion point and the test scans only that prefix; ranks come
+    from one table per run, never from the wire.
     Entries are never evicted — later, shorter arrivals may
     retroactively demote an entry, so membership is decided by a final
     rank-ordered filter at quiescence. That permissiveness is what

@@ -182,6 +182,83 @@ let test_store_v1_compat () =
   | _ -> Alcotest.fail "v1 writer accepted a non-tz store"
   | exception Invalid_argument _ -> ()
 
+(* ---- byte format pins ---- *)
+
+(* FNV-1a 64 known answers (the published test vectors), so the
+   checksum is pinned independently of any round-trip. *)
+let test_fnv1a64_known_answers () =
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "fnv1a64 %S" s)
+        want
+        (Printf.sprintf "%016Lx" (Store.fnv1a64 s)))
+    [
+      ("", "cbf29ce484222325");
+      ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8");
+    ]
+
+(* One fixed small sketch per family (two components, so tz pivots
+   and bottom-k/landmark entries include unreachable nodes), and the
+   digest of every layout the writer emits for it. A round-trip test
+   cannot see a writer change that its own reader follows; these
+   digests can. *)
+let golden_store family =
+  let g =
+    Graph.of_edges ~n:9
+      [
+        (0, 1, 3); (1, 2, 1); (2, 3, 4); (3, 0, 2); (1, 4, 5); (4, 5, 1);
+        (5, 6, 2); (6, 2, 7); (7, 8, 2);
+      ]
+  in
+  let built = Sketch_build.run ~family g ~k:2 ~seed:5 in
+  Store.v ~seed:5 ~graph_family:"golden" built.Sketch_build.sketch
+
+let test_store_golden_digests () =
+  let check name bytes want =
+    Alcotest.(check string) name want (Digest.to_hex (Digest.string bytes))
+  in
+  List.iter
+    (fun (family, v3, v2) ->
+      let store = golden_store family in
+      let name = Family.name family in
+      check (name ^ " v3") (Store.to_bytes store) v3;
+      check (name ^ " v2") (Store.to_bytes_v2 store) v2)
+    [
+      ( Family.Tz,
+        "e33b9f6de11d713ff9712ef50b568ed9",
+        "957330449b4a22113c91695a3353237b" );
+      ( Family.Landmark,
+        "f56808425ff4d96de07676fe8fbeca13",
+        "453cb8a4411fe43ac1ec35353b19ba43" );
+      ( Family.Bottomk,
+        "061dbeca54078a151dfac76c6d5467de",
+        "e98c72c4a99b42484b0dddfd664e9a2b" );
+    ];
+  check "tz v1"
+    (Store.to_bytes_v1 (golden_store Family.Tz))
+    "3a5646724c02f5ffbe1517e16d99314b"
+
+(* The heap loader checksums the whole payload, so hashing must not
+   allocate per byte: a 1 MiB hash allocates exactly what an empty one
+   does (the boxed result). Same call-overhead pattern as the engine's
+   zero-allocation pins. *)
+let test_fnv1a64_zero_alloc () =
+  let big = String.init (1 lsl 20) (fun i -> Char.chr (i land 255)) in
+  let words s =
+    let w0 = Gc.minor_words () in
+    let w1 = Gc.minor_words () in
+    let call_overhead = w1 -. w0 in
+    let a = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Store.fnv1a64 s));
+    let b = Gc.minor_words () in
+    b -. a -. call_overhead
+  in
+  ignore (words big);
+  Alcotest.(check (float 0.0))
+    "minor words: 1 MiB hash = empty hash" (words "") (words big)
+
 (* ---- mapped snapshots ---- *)
 
 let with_temp_snapshot bytes f =
@@ -580,6 +657,12 @@ let suite =
       test_store_v1_compat;
     Alcotest.test_case "store: mapped loader rejects malformed input" `Quick
       test_store_mmap_malformed;
+    Alcotest.test_case "store: fnv1a64 known answers" `Quick
+      test_fnv1a64_known_answers;
+    Alcotest.test_case "store: golden digest per family and version" `Quick
+      test_store_golden_digests;
+    Alcotest.test_case "store: fnv1a64 allocates nothing per byte" `Quick
+      test_fnv1a64_zero_alloc;
     Alcotest.test_case "store: mmap oracle = heap oracle, all families" `Slow
       test_store_mmap_matches_heap;
     Alcotest.test_case "oracle = Label.query, all families x k" `Slow

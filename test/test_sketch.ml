@@ -248,6 +248,33 @@ let prop_landmark_matches_reference =
       in
       got Plane.Congest = want && got Plane.Sharded = want)
 
+(* Bottom-k counterpart of the landmark property: small random graphs,
+   often disconnected, k up to 4 (so k often exceeds a component's
+   size and admission never rejects), both backends and 1–3 shards,
+   against the sequential reference. *)
+let prop_bottomk_matches_reference =
+  QCheck.Test.make ~name:"bottom-k = reference on small random graphs"
+    ~count:80
+    QCheck.(quad (int_range 1 9) (int_range 0 100000) (int_range 1 4)
+              (int_range 0 100000))
+    (fun (n, gseed, k, seed) ->
+      let rng = Rng.create gseed in
+      let p = float_of_int (gseed mod 7) /. 10.0 in
+      let edges = ref [] in
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          if Rng.float rng 1.0 < p then
+            edges := (u, v, 1 + Rng.int rng 5) :: !edges
+        done
+      done;
+      let g = Graph.of_edges ~n !edges in
+      let want = Bottomk.reference g ~k ~seed in
+      let got backend =
+        let r = Bottomk.run ~backend ~shards:(1 + (seed mod 3)) g ~k ~seed in
+        sketch_entries r.Bottomk.sketch
+      in
+      got Plane.Congest = want && got Plane.Sharded = want)
+
 let test_landmark_cross_backend () =
   let g = Helpers.random_graph ~seed:526 110 in
   let ref_r = Landmark.run ~backend:Plane.Congest g ~k:2 ~seed:23 in
@@ -353,6 +380,7 @@ let suite =
     Alcotest.test_case "landmark congest = sharded across pools" `Quick
       test_landmark_cross_backend;
     QCheck_alcotest.to_alcotest prop_landmark_matches_reference;
+    QCheck_alcotest.to_alcotest prop_bottomk_matches_reference;
     Alcotest.test_case "tz estimate parity with Label.query" `Quick
       test_tz_estimate_parity;
     Alcotest.test_case "container validation and accessors" `Quick

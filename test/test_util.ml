@@ -146,11 +146,48 @@ let test_table_arity () =
   Alcotest.check_raises "arity" (Invalid_argument "Table.add_row: wrong arity")
     (fun () -> Table.add_row t [ "only-one" ])
 
+(* [mix] is a hash whose values are persisted indirectly (bottom-k
+   ranks decide which entries a snapshot holds), so pin a few. *)
+let test_rng_mix_known_answers () =
+  List.iter
+    (fun (x, want) ->
+      Alcotest.(check int) (Printf.sprintf "mix %d" x) want (Rng.mix x))
+    [
+      (0, 0);
+      (1, 1626386729513190885);
+      (42, 2835554897195333154);
+      (-1, 3805636230021627259);
+      (max_int, 3257252062424133470);
+    ]
+
+(* [mix] runs on every bottom-k rank and every jittered link delay:
+   it must not allocate. Same call-overhead pattern as the engine's
+   zero-allocation pins. *)
+let test_rng_mix_zero_alloc () =
+  let calls = 10_000 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  let call_overhead = w1 -. w0 in
+  let a = Gc.minor_words () in
+  for i = 1 to calls do
+    acc := !acc lxor Rng.mix i
+  done;
+  let b = Gc.minor_words () in
+  ignore (Sys.opaque_identity !acc);
+  Alcotest.(check (float 0.0))
+    "minor words per mix" 0.0
+    ((b -. a -. call_overhead) /. float_of_int calls)
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng split independent" `Quick test_rng_split_independent;
     Alcotest.test_case "rng int range" `Quick test_rng_int_range;
+    Alcotest.test_case "rng mix known answers" `Quick
+      test_rng_mix_known_answers;
+    Alcotest.test_case "rng mix allocates nothing" `Quick
+      test_rng_mix_zero_alloc;
     Alcotest.test_case "rng int_in range" `Quick test_rng_int_in;
     Alcotest.test_case "rng bool bias" `Quick test_rng_bool_bias;
     Alcotest.test_case "rng sample w/o replacement" `Quick
